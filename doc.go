@@ -130,11 +130,13 @@
 // state transition — joins, raise/exit votes, concluded outcomes — to a
 // Recorder; OpenWAL(path, snapshotEvery) is the durable implementation, a
 // group-commit fsynced write-ahead log that compacts itself every
-// snapshotEvery records and tolerates a torn tail on replay. A restarted
-// process reads the prior WALState back and applies the paper's §3.4
-// decision per action: a concluded outcome is recovered from the log, an
-// instance still inside its resolution window is re-joined live, and
-// anything older is abandoned deterministically. cluster.Config.WALDir
+// snapshotEvery records down to its in-flight actions and open instances
+// and tolerates a torn tail on replay. A restarted process reads the prior
+// WALState back and applies the paper's §3.4 decision per action: a
+// concluded outcome is recovered from the log (or, once a compaction has
+// dropped it, is simply absent: there is nothing to re-run), an instance
+// still inside its resolution window is re-joined live, and anything older
+// is abandoned deterministically. cluster.Config.WALDir
 // (the canode -wal-dir flag) wires this into a node: boot replays
 // <wal-dir>/<name>.wal, re-starts in-window instances under their original
 // tags once peers answer, and answers result queries for abandoned tags

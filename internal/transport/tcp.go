@@ -1380,6 +1380,18 @@ func (e *tcpEndpoint) Close() error {
 	}
 	e.mu.Unlock()
 
+	// Unbind before closing the queue, as simEndpoint.Close does: a mux
+	// pump forgets the address once it sees the queue closed, and a bind
+	// racing in after that must find the address free here too, not fail
+	// with ErrDuplicateAddr. Frames arriving after the unbind are retained
+	// for the next bind; a deliverer holding this endpoint still reaches
+	// its queue (or, once closed, the retention path via Reinject).
+	e.net.mu.Lock()
+	if e.net.eps[e.addr] == e {
+		delete(e.net.eps, e.addr)
+	}
+	e.net.mu.Unlock()
+
 	var err error
 	if e.ln != nil { // node-mode endpoints share the node listener
 		err = e.ln.Close()
@@ -1390,11 +1402,5 @@ func (e *tcpEndpoint) Close() error {
 		closeConn(c)
 	}
 	e.queue.Close()
-
-	e.net.mu.Lock()
-	if e.net.eps[e.addr] == e {
-		delete(e.net.eps, e.addr)
-	}
-	e.net.mu.Unlock()
 	return err
 }

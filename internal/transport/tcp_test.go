@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -549,6 +550,71 @@ func TestTCPNodeRedialAfterRestart(t *testing.T) {
 	}
 	if d, ok := b2.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "post#1" {
 		t.Fatalf("post-restart delivery failed: %+v %v", d, ok)
+	}
+}
+
+// TestTCPNodeMuxRebindChurn binds, closes and rebinds one node-mode thread
+// address through the Mux from several goroutines, the way a cluster node
+// churns a role address with rounds in flight. It is the regression test
+// for tcpEndpoint.Close's teardown order: closing the queue before the
+// address is unbound let the mux forget the address while the network
+// still held it, and a racing Open then failed with ErrDuplicateAddr.
+func TestTCPNodeMuxRebindChurn(t *testing.T) {
+	var table sync.Map
+	n := nodeNet(t, map[string]bool{"A": true, "B": true, "C": true}, &table)
+	defer func() { _ = n.Close() }()
+	mux := NewMux(vclock.NewReal(), n)
+	defer func() { _ = mux.Close() }()
+
+	// A local peer keeps sending to C, a hosted thread that never binds:
+	// once C's retention is full every such send still takes the network
+	// lock that Close needs to unbind A, which widens the window the old
+	// teardown order left open without flooding A itself.
+	b, err := n.Endpoint("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = b.Send("C", protocol.Ack{Action: "stray#1", From: "B"})
+			}
+		}
+	}()
+	defer func() { close(stop); <-sent }()
+
+	const goroutines = 4
+	cycles := 10000
+	if testing.Short() {
+		cycles = 2000
+	}
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			for i := 0; i < cycles; i++ {
+				ep, err := mux.Open(fmt.Sprintf("g%d-c%d", g, i), "A")
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d cycle %d: %w", g, i, err)
+					return
+				}
+				if err := ep.Close(); err != nil {
+					errs <- fmt.Errorf("goroutine %d cycle %d close: %w", g, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

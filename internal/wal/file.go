@@ -88,7 +88,10 @@ func Open(path string, snapshotEvery int) (*File, error) {
 	return w, nil
 }
 
-// State returns a copy of the replayed-plus-appended state.
+// State returns a copy of the replayed-plus-appended state. Every
+// in-flight action (Outcome == "") and every open instance (!Done) is
+// present; a concluded action or a done instance may be absent once a
+// compaction has run, because a reboot has nothing left to decide for it.
 func (w *File) State() State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -116,15 +119,23 @@ func (w *File) Append(r Record) error {
 	w.state.Apply(r)
 	w.sinceSnapshot++
 	if w.sinceSnapshot >= w.snapshotEvery {
-		if err := w.compactLocked(); err != nil {
+		err := w.compactLocked()
+		if err == nil {
+			// Compaction fsynced the snapshot and its rename; everything
+			// written so far is durable already.
+			w.bumpSynced(seq)
+			w.mu.Unlock()
+			return nil
+		}
+		if w.f == nil {
+			// Failed after the rename: the log is closed (see
+			// compactLocked), so this record is not known to be durable.
 			w.mu.Unlock()
 			return err
 		}
-		// Compaction fsynced and renamed; everything written so far is
-		// durable already.
-		w.bumpSynced(seq)
-		w.mu.Unlock()
-		return nil
+		// Failed before the rename: the log is intact and the next append
+		// retries the compaction; make this record durable the ordinary
+		// way.
 	}
 	w.mu.Unlock()
 	return w.sync(seq)
@@ -155,13 +166,23 @@ func (w *File) sync(seq uint64) error {
 	target := w.writeSeq
 	f := w.f
 	w.mu.Unlock()
-	var err error
+	err := os.ErrClosed // a compaction failed after its rename, or Close ran
 	if f != nil {
 		err = f.Sync()
+	}
+	if err != nil {
+		// A compaction or Close may have closed f under this flush after
+		// making every record up to target durable itself; it reports that
+		// through bumpSynced while holding w.mu, so wait it out and check.
+		w.mu.Lock()
+		w.mu.Unlock()
 	}
 
 	w.sm.Lock()
 	w.syncing = false
+	if err != nil && w.syncedSeq >= target {
+		err = nil
+	}
 	if target > w.syncedSeq {
 		w.syncedSeq = target
 	}
@@ -174,8 +195,9 @@ func (w *File) sync(seq uint64) error {
 	return nil
 }
 
-// bumpSynced marks records up to seq durable without an fsync (used after
-// compaction, which is durable by construction).
+// bumpSynced marks records up to seq durable without a group-commit fsync
+// (used after a compaction, which is durable by construction, and by
+// Close, which fsyncs before closing).
 func (w *File) bumpSynced(seq uint64) {
 	w.sm.Lock()
 	if seq > w.syncedSeq {
@@ -186,9 +208,28 @@ func (w *File) bumpSynced(seq uint64) {
 }
 
 // compactLocked rewrites the log as a single snapshot record, fsnapshot
-// style: write a temp file, fsync it, rename it over the log. Caller
-// holds w.mu.
+// style: write a temp file, fsync it, rename it over the log and fsync the
+// directory so the rename itself is durable. The snapshot keeps only what
+// a reboot can act on (§3.4): actions without an outcome and instances not
+// done. Concluded entries are dropped from w.state first, so the snapshot,
+// its sort and encode, and the in-memory maps are bounded by in-flight
+// work rather than by history. Caller holds w.mu.
+//
+// A failure before the rename leaves the log and w.f as they were. A
+// failure after it closes the log (w.f = nil): w.f would otherwise point
+// at the replaced inode, which no replay reads, and later appends would
+// report durability they do not have.
 func (w *File) compactLocked() error {
+	for k, as := range w.state.Actions {
+		if as.Outcome != "" {
+			delete(w.state.Actions, k)
+		}
+	}
+	for tag, is := range w.state.Instances {
+		if is.Done {
+			delete(w.state.Instances, tag)
+		}
+	}
 	blob := EncodeState(w.state)
 	frame := AppendFrame(nil, Record{
 		Kind: KindSnapshot,
@@ -218,19 +259,39 @@ func (w *File) compactLocked() error {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: compact %s: %w", w.path, err)
 	}
-	old := w.f
+	fail := func(step string, err error) error {
+		w.f.Close()
+		w.f = nil
+		return fmt.Errorf("wal: compact %s: %s: %w", w.path, step, err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fail("sync dir", err)
+	}
 	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: compact %s: reopen: %w", w.path, err)
+		return fail("reopen", err)
 	}
 	if _, err := nf.Seek(0, 2); err != nil {
 		nf.Close()
-		return fmt.Errorf("wal: compact %s: seek: %w", w.path, err)
+		return fail("seek", err)
 	}
-	old.Close()
+	w.f.Close()
 	w.f = nf
 	w.sinceSnapshot = 1 // the snapshot record itself
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close flushes and closes the log.
@@ -241,6 +302,9 @@ func (w *File) Close() error {
 		return nil
 	}
 	err := w.f.Sync()
+	if err == nil {
+		w.bumpSynced(w.writeSeq)
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

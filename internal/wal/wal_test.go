@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -259,5 +263,207 @@ func TestMemoryStateFiltersByOutcome(t *testing.T) {
 	}
 	if got := st.Actions[ActionKey{Thread: "T2", Action: "chaos#1"}].Outcome; got != "ok" {
 		t.Fatalf("T2 outcome = %q, want ok", got)
+	}
+}
+
+// TestFileCompactionForgetsConcluded pins that compaction keeps only what
+// a reboot can act on: thousands of concluded actions interleaved with one
+// action that never concludes and one open instance leave a file whose
+// size does not grow with the action count, and a reopen yields exactly
+// the in-flight action and the open instance.
+func TestFileCompactionForgetsConcluded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	const every = 16
+	w, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	actions := 3000
+	if testing.Short() {
+		actions = 500
+	}
+	threads := []string{"T1", "T2", "T3"}
+	stuck := ActionKey{Thread: "T1", Action: "stuck#0"}
+	w.RecordJoin(stuck.Thread, stuck.Action, "r1")
+	if err := w.AppendInstanceStart("open-tag", "quiet", 3); err != nil {
+		t.Fatalf("AppendInstanceStart: %v", err)
+	}
+	var maxSize int64
+	for i := 0; i < actions; i++ {
+		id := fmt.Sprintf("a#%d", i)
+		for _, th := range threads {
+			w.RecordJoin(th, id, "r-"+th)
+		}
+		for _, th := range threads {
+			w.RecordVote(th, id, 0, "")
+		}
+		for _, th := range threads {
+			w.RecordOutcome(th, id, "ok")
+		}
+		if i%50 == 0 {
+			tag := fmt.Sprintf("done-%d", i)
+			if err := w.AppendInstanceStart(tag, "quiet", 3); err != nil {
+				t.Fatalf("AppendInstanceStart: %v", err)
+			}
+			if err := w.AppendInstanceDone(tag); err != nil {
+				t.Fatalf("AppendInstanceDone: %v", err)
+			}
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+		maxSize = max(maxSize, info.Size())
+		if n := len(w.State().Actions); n > every+2 {
+			t.Fatalf("action %d: %d actions held in memory, want at most %d", i, n, every+2)
+		}
+	}
+	// One snapshot of a handful of live entries plus fewer than `every`
+	// records of ~30 bytes: well under 2 kB however many actions ran.
+	if maxSize > 2048 {
+		t.Fatalf("wal reached %d bytes over %d actions with snapshotEvery=%d", maxSize, actions, every)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	w2, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	st := w2.State()
+	if got := st.InFlight(); !reflect.DeepEqual(got, []ActionKey{stuck}) {
+		t.Fatalf("InFlight after reopen = %v, want [%v]", got, stuck)
+	}
+	if as := st.Actions[stuck]; as.Role != "r1" {
+		t.Fatalf("in-flight action state after reopen = %+v", as)
+	}
+	if got := st.OpenInstances(); !reflect.DeepEqual(got, []string{"open-tag"}) {
+		t.Fatalf("OpenInstances after reopen = %v, want [open-tag]", got)
+	}
+	if is := st.Instances["open-tag"]; is.Kind != "quiet" || is.Roles != 3 {
+		t.Fatalf("open instance state after reopen = %+v", is)
+	}
+}
+
+// TestFileCompactionFailureKeepsRecordDurable pins the pre-rename failure
+// path: when the snapshot cannot be written (here the log's directory is
+// gone, so the temp file cannot be created), the record that triggered the
+// compaction is still fsynced through the group commit, and the log stays
+// open for further appends.
+func TestFileCompactionFailureKeepsRecordDurable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const every = 4
+	w, err := Open(filepath.Join(dir, "node.wal"), every)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	for i := 0; i < every-1; i++ {
+		if err := w.Append(Record{Kind: KindJoin, Thread: "T1", Action: fmt.Sprintf("a#%d", i)}); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := every - 1; i < every+2; i++ {
+		if err := w.Append(Record{Kind: KindJoin, Thread: "T1", Action: fmt.Sprintf("a#%d", i)}); err != nil {
+			t.Fatalf("append %d after a failed compaction: %v", i, err)
+		}
+		w.sm.Lock()
+		synced := w.syncedSeq
+		w.sm.Unlock()
+		w.mu.Lock()
+		written, open := w.writeSeq, w.f != nil
+		w.mu.Unlock()
+		if synced != written || !open {
+			t.Fatalf("append %d: synced %d of %d records, log open %v", i, synced, written, open)
+		}
+	}
+}
+
+// TestFileFailClosedReportsNotDurable pins the post-rename failure state a
+// broken compaction leaves (w.f == nil): a record written before it but
+// not yet fsynced must not be reported durable by the group commit, and
+// later appends fail with "log closed" instead of succeeding.
+func TestFileFailClosedReportsNotDurable(t *testing.T) {
+	w, err := Open(filepath.Join(t.TempDir(), "node.wal"), 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	w.mu.Lock()
+	if _, err := w.f.Write(AppendFrame(nil, Record{Kind: KindJoin, Thread: "T1", Action: "a#1"})); err != nil {
+		t.Fatal(err)
+	}
+	w.writeSeq++
+	seq := w.writeSeq
+	w.f.Close() // what compactLocked does when the reopen after its rename fails
+	w.f = nil
+	w.mu.Unlock()
+	if err := w.sync(seq); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("sync of an unflushed record after fail-closed = %v, want os.ErrClosed", err)
+	}
+	if err := w.Append(Record{Kind: KindJoin, Thread: "T1", Action: "a#2"}); err == nil || !strings.Contains(err.Error(), "log closed") {
+		t.Fatalf("append after fail-closed = %v, want log closed", err)
+	}
+}
+
+// BenchmarkFileAppend is the WAL append row of the per-layer ledger: one
+// fsynced append, cycling join, vote and outcome over fresh actions, on a
+// log that has already concluded `history` actions. Compaction keeps only
+// in-flight state, so ns/op must not depend on history.
+func BenchmarkFileAppend(b *testing.B) {
+	for _, history := range []int{0, 50000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "node.wal")
+			var buf []byte
+			for i := 0; i < history; i++ {
+				id := "h#" + strconv.Itoa(i)
+				buf = AppendFrame(buf, Record{Kind: KindJoin, Wall: 1, Thread: "T1", Action: id, Role: "r1"})
+				buf = AppendFrame(buf, Record{Kind: KindOutcome, Wall: 2, Thread: "T1", Action: id, Outcome: "ok"})
+			}
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			w, err := Open(path, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			// The first DefaultSnapshotEvery appends run untimed: they take
+			// the log past its first compaction, which folds any replayed
+			// history into one snapshot.
+			warm := DefaultSnapshotEvery
+			recs := make([]Record, warm+b.N)
+			for i := range recs {
+				id := "a#" + strconv.Itoa(i/3)
+				switch i % 3 {
+				case 0:
+					recs[i] = Record{Kind: KindJoin, Thread: "T1", Action: id, Role: "r1"}
+				case 1:
+					recs[i] = Record{Kind: KindVote, Thread: "T1", Action: id}
+				default:
+					recs[i] = Record{Kind: KindOutcome, Thread: "T1", Action: id, Outcome: "ok"}
+				}
+			}
+			for _, r := range recs[:warm] {
+				if err := w.Append(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			recs = recs[warm:]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Append(recs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -25,11 +25,16 @@ type Recorder = core.Recorder
 // WAL is the durable on-disk write-ahead log: every append is fsynced
 // before it returns (concurrent appenders share flushes, group-commit
 // style), and after SnapshotEvery appends the log is compacted to one
-// snapshot record, bounding replay length and file size.
+// snapshot record of its in-flight actions and open instances only, so
+// replay length, file size and the state held in memory are bounded by
+// in-flight work rather than by history.
 type WAL = wal.File
 
-// WALState is a WAL's materialised state after replay: in-flight actions
-// keyed by (thread, action) and tagged cluster instances keyed by tag.
+// WALState is a WAL's materialised state after replay: actions keyed by
+// (thread, action) and tagged cluster instances keyed by tag. Every
+// in-flight action (empty Outcome) and open instance (not Done) is
+// present; a concluded action or done instance may be absent once the
+// WAL has compacted, since a restart has nothing to decide for it.
 type WALState = wal.State
 
 // WALActionKey identifies one participant's view of one action instance
