@@ -356,37 +356,47 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 	// actions (a recycled endpoint must have no other referent).
 	watch := ctx.Done() != nil
 	pooled := false
-	if pool := s.rolePool(); pool != nil && len(rts) <= pool.size {
-		var wsArr [8]*roleWorker
-		// Non-blocking all-or-nothing grab; a saturated (or closing) pool
-		// simply means this action runs on the goroutine-per-role path
-		// below — StartAction never waits for workers, so role bodies that
-		// start and wait on further actions cannot deadlock the pool.
-		if ws, ok := pool.acquire(len(rts), wsArr[:0]); ok {
-			pooled = true
+	dispatch := func() {
+		if pool := s.rolePool(); pool != nil && len(rts) <= pool.size {
+			var wsArr [8]*roleWorker
+			// Non-blocking all-or-nothing grab; a saturated (or closing) pool
+			// simply means this action runs on the goroutine-per-role path
+			// below — StartAction never waits for workers, so role bodies that
+			// start and wait on further actions cannot deadlock the pool.
+			if ws, ok := pool.acquire(len(rts), wsArr[:0]); ok {
+				pooled = true
+				for i, x := range rts {
+					t := roleTaskPool.Get().(*roleTask)
+					*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
+						prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
+					if !ws[i].tasks.PutOpen(t) {
+						// Lost the race with Close: run on a plain tracked
+						// goroutine so the handle still completes (the role
+						// unwinds promptly as the closing system tears the
+						// endpoints down).
+						s.Go(t.run)
+					}
+				}
+			}
+		}
+		if !pooled {
+			// Same lifecycle as the pooled path (roleTask.run), on a tracked
+			// goroutine per role.
 			for i, x := range rts {
 				t := roleTaskPool.Get().(*roleTask)
 				*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
 					prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
-				if !ws[i].tasks.PutOpen(t) {
-					// Lost the race with Close: run on a plain tracked
-					// goroutine so the handle still completes (the role
-					// unwinds promptly as the closing system tears the
-					// endpoints down).
-					s.Go(t.run)
-				}
+				s.Go(t.run)
 			}
 		}
 	}
-	if !pooled {
-		// Same lifecycle as the pooled path (roleTask.run), on a tracked
-		// goroutine per role.
-		for i, x := range rts {
-			t := roleTaskPool.Get().(*roleTask)
-			*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
-				prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
-			s.Go(t.run)
-		}
+	if s.virtual != nil {
+		// Held, so no role can run ahead, block or trip deadlock detection
+		// before its peers have been dispatched (the caller may be an
+		// untracked goroutine).
+		s.virtual.Hold(dispatch)
+	} else {
+		dispatch()
 	}
 	if watch {
 		// The watcher is untracked: it blocks on real channels, never on the

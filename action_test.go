@@ -91,40 +91,41 @@ func TestStartActionWaitFromTrackedGoroutine(t *testing.T) {
 	spec, progs := pingPongSpec(t)
 
 	var sequentialErr, overlapErr error
-	sys.Go(func() {
-		// Sequential: start, wait, start again (tag reuse GC path).
-		for i := 0; i < 3; i++ {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				sequentialErr = err
-				return
-			}
-			for role, err := range h.Wait() {
+	sys.Run(func() {
+		sys.Go(func() {
+			// Sequential: start, wait, start again (tag reuse GC path).
+			for i := 0; i < 3; i++ {
+				h, err := sys.StartAction(context.Background(), spec, progs)
 				if err != nil {
-					sequentialErr = fmt.Errorf("%s: %w", role, err)
+					sequentialErr = err
+					return
+				}
+				for role, err := range h.Wait() {
+					if err != nil {
+						sequentialErr = fmt.Errorf("%s: %w", role, err)
+					}
 				}
 			}
-		}
-	})
-	sys.Go(func() {
-		// Overlapping: a second driver keeps its own instances in flight.
-		var hs []*caaction.ActionHandle
-		for i := 0; i < 5; i++ {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				overlapErr = err
-				return
+		})
+		sys.Go(func() {
+			// Overlapping: a second driver keeps its own instances in flight.
+			var hs []*caaction.ActionHandle
+			for i := 0; i < 5; i++ {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err != nil {
+					overlapErr = err
+					return
+				}
+				hs = append(hs, h)
 			}
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			h.Wait()
-			if err := h.Err(); err != nil && overlapErr == nil {
-				overlapErr = err
+			for _, h := range hs {
+				h.Wait()
+				if err := h.Err(); err != nil && overlapErr == nil {
+					overlapErr = err
+				}
 			}
-		}
+		})
 	})
-	sys.Wait()
 	if sequentialErr != nil {
 		t.Errorf("sequential driver: %v", sequentialErr)
 	}
@@ -521,32 +522,33 @@ func TestStartActionWorkerPoolSaturation(t *testing.T) {
 
 	const n = 30
 	errs := make(chan error, 2*n)
-	for i := 0; i < n; i++ {
-		sys.Go(func() {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			h.WaitDone()
-			errs <- h.Err()
-		})
-		sys.Go(func() {
-			h, err := sys.StartAction(context.Background(), parentSpec, parentProgs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			h.WaitDone()
-			errs <- h.Err()
-		})
-	}
+	sys.Run(func() {
+		for i := 0; i < n; i++ {
+			sys.Go(func() {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				h.WaitDone()
+				errs <- h.Err()
+			})
+			sys.Go(func() {
+				h, err := sys.StartAction(context.Background(), parentSpec, parentProgs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				h.WaitDone()
+				errs <- h.Err()
+			})
+		}
+	})
 	for i := 0; i < 2*n; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 	}
-	sys.Wait()
 }
 
 // TestStartActionWorkerPoolOverflowFallsBack: an action with more roles

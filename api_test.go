@@ -228,9 +228,10 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := make(chan error, 2)
-	sys.Go(func() { results <- t1.Perform(context.Background(), spec, "producer", producer) })
-	sys.Go(func() { results <- t2.Perform(context.Background(), spec, "consumer", consumer) })
-	sys.Wait()
+	sys.Run(func() {
+		sys.Go(func() { results <- t1.Perform(context.Background(), spec, "producer", producer) })
+		sys.Go(func() { results <- t2.Perform(context.Background(), spec, "consumer", consumer) })
+	})
 	close(results)
 	for err := range results {
 		if err != nil {
@@ -408,26 +409,27 @@ func testTCPTransport(t *testing.T, extra ...caaction.Option) {
 		t.Fatal(err)
 	}
 	results := make(chan error, 2)
-	sys.Go(func() {
-		results <- t1.Perform(context.Background(), spec, "left", caaction.RoleProgram{
-			Body: func(ctx *caaction.Context) error { return ctx.Send("right", "ping") },
+	sys.Run(func() {
+		sys.Go(func() {
+			results <- t1.Perform(context.Background(), spec, "left", caaction.RoleProgram{
+				Body: func(ctx *caaction.Context) error { return ctx.Send("right", "ping") },
+			})
+		})
+		sys.Go(func() {
+			results <- t2.Perform(context.Background(), spec, "right", caaction.RoleProgram{
+				Body: func(ctx *caaction.Context) error {
+					v, err := ctx.Recv("left")
+					if err != nil {
+						return err
+					}
+					if v != "ping" {
+						t.Errorf("payload = %v", v)
+					}
+					return nil
+				},
+			})
 		})
 	})
-	sys.Go(func() {
-		results <- t2.Perform(context.Background(), spec, "right", caaction.RoleProgram{
-			Body: func(ctx *caaction.Context) error {
-				v, err := ctx.Recv("left")
-				if err != nil {
-					return err
-				}
-				if v != "ping" {
-					t.Errorf("payload = %v", v)
-				}
-				return nil
-			},
-		})
-	})
-	sys.Wait()
 	close(results)
 	for err := range results {
 		if err != nil {

@@ -590,15 +590,18 @@ func (n *Node) awaitPeers(deadline time.Time) bool {
 // written back to the WAL, so a second crash does not replay the tag a
 // second time; the lost set itself is in-memory, so after a further
 // restart the tag answers ErrUnknownTag like any other forgotten tag.
+// The WAL record and the log line come before the tag answers
+// ErrLostToCrash: a caller that sees the answer and stops the node must
+// not race them.
 func (n *Node) markLost(tag, why string) {
-	n.mu.Lock()
-	delete(n.recovering, tag)
-	n.lost[tag] = true
-	n.mu.Unlock()
 	if n.wal != nil {
 		_ = n.wal.AppendInstanceDone(tag)
 	}
 	n.cfg.Logf("node %s: abandoned instance tag=%s after crash: %s", n.cfg.Name, tag, why)
+	n.mu.Lock()
+	delete(n.recovering, tag)
+	n.lost[tag] = true
+	n.mu.Unlock()
 }
 
 // Drain gracefully quiesces the node's System; see System.Drain.

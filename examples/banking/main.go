@@ -59,9 +59,10 @@ func main() {
 	runTransfer := func(title string, debit, credit caaction.RoleProgram) {
 		fmt.Printf("== %s ==\n", title)
 		results := make(chan error, 2)
-		sys.Go(func() { results <- t1.Perform(context.Background(), spec, "debit", debit) })
-		sys.Go(func() { results <- t2.Perform(context.Background(), spec, "credit", credit) })
-		sys.Wait()
+		sys.Run(func() {
+			sys.Go(func() { results <- t1.Perform(context.Background(), spec, "debit", debit) })
+			sys.Go(func() { results <- t2.Perform(context.Background(), spec, "credit", credit) })
+		})
 		close(results)
 		for err := range results {
 			switch {

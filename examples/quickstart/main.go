@@ -111,9 +111,10 @@ func main() {
 // perform runs one two-role action and reports each role's typed outcome.
 func perform(sys *caaction.System, t1, t2 *caaction.Thread, spec *caaction.Spec, p1, p2 caaction.RoleProgram) {
 	results := make(chan error, 2)
-	sys.Go(func() { results <- t1.Perform(context.Background(), spec, spec.Roles[0].Name, p1) })
-	sys.Go(func() { results <- t2.Perform(context.Background(), spec, spec.Roles[1].Name, p2) })
-	sys.Wait()
+	sys.Run(func() {
+		sys.Go(func() { results <- t1.Perform(context.Background(), spec, spec.Roles[0].Name, p1) })
+		sys.Go(func() { results <- t2.Perform(context.Background(), spec, spec.Roles[1].Name, p2) })
+	})
 	close(results)
 	for err := range results {
 		var sig *caaction.SignalledError

@@ -131,28 +131,29 @@ func TestCompetingActionsQueueFIFO(t *testing.T) {
 		})
 	}
 	// A holds; B and C queue in order; completion order must be A, B, C.
-	clk.Go(func() {
-		appendName("A")
-		clk.Sleep(30 * time.Millisecond)
-		if err := o.Commit("A"); err != nil {
-			t.Error(err)
-		}
+	clk.Run(func() {
+		clk.Go(func() {
+			appendName("A")
+			clk.Sleep(30 * time.Millisecond)
+			if err := o.Commit("A"); err != nil {
+				t.Error(err)
+			}
+		})
+		clk.Go(func() {
+			clk.Sleep(5 * time.Millisecond)
+			appendName("B") // blocks until A commits
+			if err := o.Commit("B"); err != nil {
+				t.Error(err)
+			}
+		})
+		clk.Go(func() {
+			clk.Sleep(10 * time.Millisecond)
+			appendName("C") // blocks behind B
+			if err := o.Commit("C"); err != nil {
+				t.Error(err)
+			}
+		})
 	})
-	clk.Go(func() {
-		clk.Sleep(5 * time.Millisecond)
-		appendName("B") // blocks until A commits
-		if err := o.Commit("B"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Go(func() {
-		clk.Sleep(10 * time.Millisecond)
-		appendName("C") // blocks behind B
-		if err := o.Commit("C"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Wait()
 	got := o.Peek().([]string)
 	want := []string{"A", "B", "C"}
 	for i := range want {
@@ -170,22 +171,23 @@ func TestHandoverAdmitsAllRolesOfNextAction(t *testing.T) {
 	o, _ := reg.Define("x", 0)
 	o.Acquire("A")
 	done := make(chan string, 2)
-	clk.Go(func() {
-		o.Acquire("B") // role 1 of B queues
-		done <- "b1"
+	clk.Run(func() {
+		clk.Go(func() {
+			o.Acquire("B") // role 1 of B queues
+			done <- "b1"
+		})
+		clk.Go(func() {
+			clk.Sleep(time.Millisecond)
+			o.Acquire("B") // role 2 of B queues
+			done <- "b2"
+		})
+		clk.Go(func() {
+			clk.Sleep(10 * time.Millisecond)
+			if err := o.Commit("A"); err != nil {
+				t.Error(err)
+			}
+		})
 	})
-	clk.Go(func() {
-		clk.Sleep(time.Millisecond)
-		o.Acquire("B") // role 2 of B queues
-		done <- "b2"
-	})
-	clk.Go(func() {
-		clk.Sleep(10 * time.Millisecond)
-		if err := o.Commit("A"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Wait()
 	if len(done) != 2 {
 		t.Fatalf("only %d roles of B admitted", len(done))
 	}
@@ -331,20 +333,21 @@ func TestManyCompetingActionsProperty(t *testing.T) {
 	reg, clk := newReg(t)
 	o, _ := reg.Define("n", 0)
 	const k = 40
-	for i := 0; i < k; i++ {
-		i := i
-		clk.Go(func() {
-			action := fmt.Sprintf("act%d", i)
-			clk.Sleep(time.Duration(i%7) * time.Millisecond)
-			v := o.Read(action).(int)
-			clk.Sleep(time.Millisecond)
-			o.Write(action, v+1)
-			if err := o.Commit(action); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	clk.Wait()
+	clk.Run(func() {
+		for i := 0; i < k; i++ {
+			i := i
+			clk.Go(func() {
+				action := fmt.Sprintf("act%d", i)
+				clk.Sleep(time.Duration(i%7) * time.Millisecond)
+				v := o.Read(action).(int)
+				clk.Sleep(time.Millisecond)
+				o.Write(action, v+1)
+				if err := o.Commit(action); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	})
 	if o.Peek() != k {
 		t.Fatalf("count = %v, want %d", o.Peek(), k)
 	}

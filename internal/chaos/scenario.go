@@ -273,8 +273,38 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	threads := s.ThreadIDs()
+	// Setup runs held inside clk.Run, so no participant (nor a crash or
+	// restart timer) can block, advance virtual time or trip deadlock
+	// detection before every goroutine of the run exists.
 	clk := vclock.NewVirtualSequential()
+	var (
+		engine  *Engine
+		metrics *trace.Metrics
+		res     *Result
+	)
+	clk.Run(func() { engine, metrics, res, err = start(clk, s, resolverName, proto) })
+	if err != nil {
+		return nil, err
+	}
+
+	res.Stalled = engine.Stalled()
+	res.Trace = engine.Trace()
+	snap := metrics.Snapshot()
+	res.Rounds = snap["action.rounds"]
+	res.Aborted = snap["action.aborted"]
+	for k, v := range snap {
+		if strings.HasPrefix(k, "msg.") {
+			res.Msg[strings.TrimPrefix(k, "msg.")] = v
+		}
+	}
+	return res, nil
+}
+
+// start builds the run's runtime, binds every endpoint and starts every
+// participant (and the restart plan, if any) on clk. It must run inside
+// clk.Run.
+func start(clk *vclock.Virtual, s Scenario, resolverName string, proto resolve.Protocol) (*Engine, *trace.Metrics, *Result, error) {
+	threads := s.ThreadIDs()
 	metrics := &trace.Metrics{}
 	sim := transport.NewSim(transport.SimConfig{
 		Clock:   clk,
@@ -305,7 +335,7 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	}
 	rt, err := core.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	g := s.graph()
@@ -362,12 +392,12 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 			if tag == "" {
 				ct, err = rt.NewThread(th)
 				if err != nil {
-					return nil, err
+					return nil, nil, nil, err
 				}
 			} else {
 				ep, err := mux.Open(tag, th)
 				if err != nil {
-					return nil, err
+					return nil, nil, nil, err
 				}
 				ct = rt.NewThreadOn(th, ep, tag)
 			}
@@ -427,19 +457,7 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 		res.Reborn = make(map[string]string, 1)
 		scheduleRestart(clk, engine, rt, s, outer, res, &mu, rec)
 	}
-	clk.Wait()
-
-	res.Stalled = engine.Stalled()
-	res.Trace = engine.Trace()
-	snap := metrics.Snapshot()
-	res.Rounds = snap["action.rounds"]
-	res.Aborted = snap["action.aborted"]
-	for k, v := range snap {
-		if strings.HasPrefix(k, "msg.") {
-			res.Msg[strings.TrimPrefix(k, "msg.")] = v
-		}
-	}
-	return res, nil
+	return engine, metrics, res, nil
 }
 
 // descend enters the chain of nested actions down to the innermost level,

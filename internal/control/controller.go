@@ -320,17 +320,23 @@ func (c *Controller) RunCycle() *Report {
 	var mu sync.Mutex
 	rep := &Report{Outcomes: make(map[string]error)}
 	var wg sync.WaitGroup
-	for _, r := range c.specProduce.Roles {
-		role := r
-		wg.Add(1)
-		c.rt.Clock().Go(func() {
-			defer wg.Done()
-			err := c.threads[role.Thread].Perform(c.specProduce, role.Name, c.produceProgram(role.Name))
-			mu.Lock()
-			rep.Outcomes[role.Thread] = err
-			mu.Unlock()
-		})
-	}
+	clk := c.rt.Clock()
+	wg.Add(len(c.specProduce.Roles))
+	// Held, so no role can advance virtual time or trip deadlock
+	// detection before its peers exist. (Clock.Run would also wait for
+	// goroutines outside this cycle.)
+	clk.Hold(func() {
+		for _, r := range c.specProduce.Roles {
+			role := r
+			clk.Go(func() {
+				defer wg.Done()
+				err := c.threads[role.Thread].Perform(c.specProduce, role.Name, c.produceProgram(role.Name))
+				mu.Lock()
+				rep.Outcomes[role.Thread] = err
+				mu.Unlock()
+			})
+		}
+	})
 	wg.Wait()
 	c.mu.Lock()
 	rep.Handled = make(map[string][]except.ID, len(c.handled))

@@ -73,15 +73,22 @@ func TestActionOverTCP(t *testing.T) {
 			Handlers: handlers("c"),
 		},
 	}
-	var wg sync.WaitGroup
-	errs := make(map[string]error)
-	var mu sync.Mutex
-	for _, r := range spec.Roles {
-		role := r
-		th, err := rt.NewThread(role.Thread)
+	// Bind every thread's endpoint before any role starts: a role's entry
+	// announcement to an address not yet bound is lost, and its peer then
+	// waits at the entry barrier for ever.
+	threads := make([]*core.Thread, len(spec.Roles))
+	for i, r := range spec.Roles {
+		th, err := rt.NewThread(r.Thread)
 		if err != nil {
 			t.Fatal(err)
 		}
+		threads[i] = th
+	}
+	var wg sync.WaitGroup
+	errs := make(map[string]error)
+	var mu sync.Mutex
+	for i, r := range spec.Roles {
+		role, th := r, threads[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -390,16 +397,17 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		}
 		return ctx.Raise("halt", "abort the nested pair")
 	}}
-	for th, prog := range map[string]core.RoleProgram{"T1": descend("a"), "T2": descend("b"), "T3": raiser} {
-		ct, err := rt.NewThread(th)
-		if err != nil {
-			t.Fatal(err)
+	clk.Run(func() {
+		for th, prog := range map[string]core.RoleProgram{"T1": descend("a"), "T2": descend("b"), "T3": raiser} {
+			ct, err := rt.NewThread(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			role, _ := outer.RoleOf(th)
+			prog, ct := prog, ct
+			clk.Go(func() { outcomes <- ct.Perform(outer, role, prog) })
 		}
-		role, _ := outer.RoleOf(th)
-		prog, ct := prog, ct
-		clk.Go(func() { outcomes <- ct.Perform(outer, role, prog) })
-	}
-	clk.Wait()
+	})
 	select {
 	case info := <-failed:
 		t.Fatalf("action deadlocked — enclosing-frame resolution message lost during abort window: %s", info)

@@ -36,6 +36,16 @@ type Clock interface {
 
 	// Wait blocks until every goroutine started with Go has returned.
 	Wait()
+
+	// Hold calls setup, which starts goroutines with Go. Under the virtual
+	// clock the goroutines setup starts begin only once it has returned,
+	// so none can advance time, block or send before its peers exist.
+	// setup must not block in a clock wait.
+	Hold(setup func())
+
+	// Run is Hold followed by Wait: the way to start a simulation from an
+	// untracked goroutine and see it finish.
+	Run(setup func())
 }
 
 // IsReal reports whether c is wall-clock-backed (see Real.RealTime).

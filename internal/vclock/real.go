@@ -49,6 +49,16 @@ func (r *Real) Go(fn func()) {
 // Wait blocks until every goroutine started with Go has returned.
 func (r *Real) Wait() { r.wg.Wait() }
 
+// Hold calls setup. Goroutines on the real clock need no hold: wall time
+// advances regardless.
+func (r *Real) Hold(setup func()) { setup() }
+
+// Run calls setup and then waits like Wait.
+func (r *Real) Run(setup func()) {
+	setup()
+	r.Wait()
+}
+
 // GoDaemon runs fn on a goroutine excluded from Wait — resident
 // infrastructure such as pooled role workers, which park between work items
 // and never "finish". On the real clock that is simply an untracked

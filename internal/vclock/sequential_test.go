@@ -27,21 +27,22 @@ func TestSequentialRunToBlock(t *testing.T) {
 		active--
 		mu.Unlock()
 	}
-	for i := 0; i < 8; i++ {
-		v.Go(func() {
-			for step := 0; step < 50; step++ {
-				enter()
-				// A tight non-blocking section: under concurrent wake-up
-				// several goroutines would overlap here.
-				for spin := 0; spin < 100; spin++ {
-					_ = spin * spin
+	v.Run(func() {
+		for i := 0; i < 8; i++ {
+			v.Go(func() {
+				for step := 0; step < 50; step++ {
+					enter()
+					// A tight non-blocking section: under concurrent wake-up
+					// several goroutines would overlap here.
+					for spin := 0; spin < 100; spin++ {
+						_ = spin * spin
+					}
+					leave()
+					v.Sleep(time.Millisecond)
 				}
-				leave()
-				v.Sleep(time.Millisecond)
-			}
-		})
-	}
-	v.Wait()
+			})
+		}
+	})
 	if maxActive != 1 {
 		t.Fatalf("max concurrently running goroutines = %d, want 1", maxActive)
 	}
@@ -55,18 +56,19 @@ func TestSequentialDeterministicOrder(t *testing.T) {
 		v := NewVirtualSequential()
 		var mu sync.Mutex
 		var order []string
-		for i := 0; i < 6; i++ {
-			i := i
-			v.Go(func() {
-				for step := 0; step < 10; step++ {
-					v.Sleep(time.Millisecond) // all six wake at the same instant
-					mu.Lock()
-					order = append(order, fmt.Sprintf("g%d.%d", i, step))
-					mu.Unlock()
-				}
-			})
-		}
-		v.Wait()
+		v.Run(func() {
+			for i := 0; i < 6; i++ {
+				i := i
+				v.Go(func() {
+					for step := 0; step < 10; step++ {
+						v.Sleep(time.Millisecond) // all six wake at the same instant
+						mu.Lock()
+						order = append(order, fmt.Sprintf("g%d.%d", i, step))
+						mu.Unlock()
+					}
+				})
+			}
+		})
 		return fmt.Sprint(order)
 	}
 	first := run()
@@ -84,21 +86,22 @@ func TestSequentialQueues(t *testing.T) {
 	q := v.NewQueue()
 	const n = 100
 	var got []int
-	v.Go(func() {
-		for i := 0; i < n; i++ {
-			q.PutAfter(time.Duration(i)*time.Millisecond, i)
-		}
-	})
-	v.Go(func() {
-		for i := 0; i < n; i++ {
-			x, ok := q.GetTimeout(time.Second)
-			if !ok {
-				return
+	v.Run(func() {
+		v.Go(func() {
+			for i := 0; i < n; i++ {
+				q.PutAfter(time.Duration(i)*time.Millisecond, i)
 			}
-			got = append(got, x.(int))
-		}
+		})
+		v.Go(func() {
+			for i := 0; i < n; i++ {
+				x, ok := q.GetTimeout(time.Second)
+				if !ok {
+					return
+				}
+				got = append(got, x.(int))
+			}
+		})
 	})
-	v.Wait()
 	if len(got) != n {
 		t.Fatalf("received %d items, want %d", len(got), n)
 	}
@@ -121,9 +124,10 @@ func TestSequentialDeadlockRelease(t *testing.T) {
 	v.SetDeadlockHandler(func(info string) { stalled = info })
 	q := v.NewQueue()
 	var okA, okB bool
-	v.Go(func() { _, okA = q.Get() })
-	v.Go(func() { _, okB = q.Get() })
-	v.Wait()
+	v.Run(func() {
+		v.Go(func() { _, okA = q.Get() })
+		v.Go(func() { _, okB = q.Get() })
+	})
 	if stalled == "" {
 		t.Fatal("deadlock handler not invoked")
 	}
@@ -136,9 +140,10 @@ func TestSequentialDeadlockRelease(t *testing.T) {
 func TestSequentialAfterFunc(t *testing.T) {
 	v := NewVirtualSequential()
 	var at time.Duration
-	v.AfterFunc(250*time.Millisecond, func() { at = v.Now() })
-	v.Go(func() { v.Sleep(time.Second) })
-	v.Wait()
+	v.Run(func() {
+		v.AfterFunc(250*time.Millisecond, func() { at = v.Now() })
+		v.Go(func() { v.Sleep(time.Second) })
+	})
 	if at != 250*time.Millisecond {
 		t.Fatalf("fired at %v, want 250ms", at)
 	}

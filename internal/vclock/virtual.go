@@ -42,6 +42,11 @@ type Virtual struct {
 	current    uint64  // gid of the goroutine holding the run token
 	granted    *waiter // chosen but not yet resumed; blocks further grants
 
+	// holds counts Hold setups in progress. Each also counts once in
+	// running, so time stands still; a goroutine started while holds is
+	// non-zero waits, counted as running, until every setup has returned.
+	holds int
+
 	onDeadlock func(info string)
 	dead       bool
 }
@@ -119,11 +124,14 @@ func (v *Virtual) spawn(fn func(), daemon bool) {
 	seq := v.sequential
 	v.mu.Unlock()
 	go func() {
-		if seq {
-			v.mu.Lock()
-			v.takeTurnLocked(gid)
-			v.mu.Unlock()
+		v.mu.Lock()
+		for v.holds > 0 {
+			v.cond.Wait()
 		}
+		if seq {
+			v.takeTurnLocked(gid)
+		}
+		v.mu.Unlock()
 		defer v.releaseTracked(daemon)
 		fn()
 	}()
@@ -159,6 +167,40 @@ func (v *Virtual) Adopt() {
 // Release unregisters the calling goroutine; see Adopt.
 func (v *Virtual) Release() { v.release() }
 
+// Hold calls setup, which starts goroutines, on the calling goroutine,
+// tracked or not. Goroutines started while setup runs (with Go, GoDaemon
+// or AfterFunc) begin only once it has returned, and virtual time neither
+// advances nor reaches a deadlock verdict before then. Without the hold,
+// on more than one CPU the first goroutine can run before the next one
+// exists: it can send to an address not yet bound, or block, and the clock
+// then jumps ahead or reports a deadlock the full system would never
+// reach. Under sequential scheduling the goroutines keep their Go-order
+// priorities.
+//
+// setup must not block in a clock wait: the goroutines it would wait for
+// cannot start until it returns.
+func (v *Virtual) Hold(setup func()) {
+	v.mu.Lock()
+	v.holds++
+	v.running++
+	v.mu.Unlock()
+	defer func() {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		v.holds--
+		v.running--
+		v.resumeLocked()
+	}()
+	setup()
+}
+
+// Run is Hold followed by Wait: the way to start a simulation from an
+// untracked goroutine and see it finish.
+func (v *Virtual) Run(setup func()) {
+	v.Hold(setup)
+	v.Wait()
+}
+
 func (v *Virtual) release() { v.releaseTracked(false) }
 
 func (v *Virtual) releaseTracked(daemon bool) {
@@ -169,6 +211,13 @@ func (v *Virtual) releaseTracked(daemon bool) {
 	if daemon {
 		v.daemons--
 	}
+	v.resumeLocked()
+}
+
+// resumeLocked lets the schedule go on after a runner left (a tracked
+// goroutine finished or a Hold ended): with nothing running, time advances
+// or the next waiter is granted the run token.
+func (v *Virtual) resumeLocked() {
 	if v.running == 0 && len(v.blocked) > 0 {
 		if v.sequential {
 			v.scheduleNextLocked()

@@ -42,10 +42,11 @@ func TestVirtualConcurrentSleepersOrdering(t *testing.T) {
 		defer mu.Unlock()
 		order = append(order, name)
 	}
-	v.Go(func() { v.Sleep(2 * time.Second); record("b") })
-	v.Go(func() { v.Sleep(1 * time.Second); record("a") })
-	v.Go(func() { v.Sleep(3 * time.Second); record("c") })
-	v.Wait()
+	v.Run(func() {
+		v.Go(func() { v.Sleep(2 * time.Second); record("b") })
+		v.Go(func() { v.Sleep(1 * time.Second); record("a") })
+		v.Go(func() { v.Sleep(3 * time.Second); record("c") })
+	})
 	if got := strings.Join(order, ""); got != "abc" {
 		t.Fatalf("wake order = %q, want abc", got)
 	}
@@ -58,22 +59,23 @@ func TestVirtualQueuePutGet(t *testing.T) {
 	v := NewVirtual()
 	q := v.NewQueue()
 	var got []any
-	v.Go(func() {
-		for i := 0; i < 3; i++ {
-			x, ok := q.Get()
-			if !ok {
-				t.Error("Get returned !ok")
-				return
+	v.Run(func() {
+		v.Go(func() {
+			for i := 0; i < 3; i++ {
+				x, ok := q.Get()
+				if !ok {
+					t.Error("Get returned !ok")
+					return
+				}
+				got = append(got, x)
 			}
-			got = append(got, x)
-		}
+		})
+		v.Go(func() {
+			q.Put(1)
+			q.Put(2)
+			q.Put(3)
+		})
 	})
-	v.Go(func() {
-		q.Put(1)
-		q.Put(2)
-		q.Put(3)
-	})
-	v.Wait()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("received %v, want [1 2 3]", got)
 	}
@@ -209,29 +211,30 @@ func TestVirtualManyProducersConsumers(t *testing.T) {
 	const producers, perProducer = 8, 50
 	q := v.NewQueue()
 	var received atomic.Int64
-	v.Go(func() {
-		for {
-			if _, ok := q.Get(); !ok {
-				return
-			}
-			received.Add(1)
-		}
-	})
-	var remaining atomic.Int64
-	remaining.Store(producers)
-	for p := 0; p < producers; p++ {
-		p := p
+	v.Run(func() {
 		v.Go(func() {
-			for i := 0; i < perProducer; i++ {
-				v.Sleep(time.Duration(p+1) * time.Millisecond)
-				q.Put(i)
-			}
-			if remaining.Add(-1) == 0 {
-				q.Close()
+			for {
+				if _, ok := q.Get(); !ok {
+					return
+				}
+				received.Add(1)
 			}
 		})
-	}
-	v.Wait()
+		var remaining atomic.Int64
+		remaining.Store(producers)
+		for p := 0; p < producers; p++ {
+			p := p
+			v.Go(func() {
+				for i := 0; i < perProducer; i++ {
+					v.Sleep(time.Duration(p+1) * time.Millisecond)
+					q.Put(i)
+				}
+				if remaining.Add(-1) == 0 {
+					q.Close()
+				}
+			})
+		}
+	})
 	if received.Load() != producers*perProducer {
 		t.Fatalf("received %d, want %d", received.Load(), producers*perProducer)
 	}
@@ -289,5 +292,60 @@ func TestRealTryGetAndLen(t *testing.T) {
 	}
 	if x, ok := q.TryGet(); !ok || x != "x" {
 		t.Fatalf("TryGet = %v %v", x, ok)
+	}
+}
+
+// TestRunHoldsTimeDuringSetup pins Hold's guarantee on both schedulers,
+// from an untracked caller (Run) and from a tracked one: a goroutine
+// started early in setup does not begin before setup returns, so it cannot
+// advance virtual time, nor be reported deadlocked, before setup has
+// started its peers. The wall-clock sleep only gives the early goroutine
+// the chance to run ahead; the assertions hold whatever the scheduler does.
+func TestRunHoldsTimeDuringSetup(t *testing.T) {
+	for _, mk := range []struct {
+		name  string
+		clock func() *Virtual
+	}{{"concurrent", NewVirtual}, {"sequential", NewVirtualSequential}} {
+		for _, tracked := range []bool{false, true} {
+			name := mk.name + "/untracked"
+			if tracked {
+				name = mk.name + "/tracked"
+			}
+			t.Run(name, func(t *testing.T) {
+				v := mk.clock()
+				v.SetDeadlockHandler(func(info string) { t.Errorf("deadlock during setup: %s", info) })
+				q := v.NewQueue()
+				var startedAt time.Duration = -1
+				var setupDone, startedEarly atomic.Bool
+				setup := func() {
+					v.Go(func() {
+						startedEarly.Store(!setupDone.Load())
+						v.Sleep(time.Second)
+					})
+					// Blocks with no pending event until the last goroutine puts.
+					v.Go(func() { q.Get() })
+					time.Sleep(5 * time.Millisecond)
+					v.Go(func() {
+						startedAt = v.Now()
+						q.Put(1)
+					})
+					setupDone.Store(true)
+				}
+				if tracked {
+					v.Run(func() { v.Go(func() { v.Hold(setup) }) })
+				} else {
+					v.Run(setup)
+				}
+				if startedEarly.Load() {
+					t.Error("a goroutine started in setup ran before setup returned")
+				}
+				if startedAt != 0 {
+					t.Fatalf("last goroutine started at virtual %v, want 0", startedAt)
+				}
+				if now := v.Now(); now != time.Second {
+					t.Fatalf("Now after Run = %v, want 1s", now)
+				}
+			})
+		}
 	}
 }

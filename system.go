@@ -276,6 +276,14 @@ func (s *System) Go(fn func()) { s.clock.Go(fn) }
 // Wait blocks until every goroutine started with Go has returned.
 func (s *System) Wait() { s.clock.Wait() }
 
+// Run calls setup, which starts goroutines with Go, then waits like Wait.
+// Under virtual time the goroutines setup starts begin only once it has
+// returned, so a driver that starts several communicating goroutines
+// should start them inside Run: with bare Go calls, on more than one CPU
+// the first can send or block before its peers exist. setup must not
+// block in a clock wait.
+func (s *System) Run(setup func()) { s.clock.Run(setup) }
+
 // Now reports the elapsed (virtual or real) time since the system started.
 func (s *System) Now() time.Duration { return s.clock.Now() }
 
